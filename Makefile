@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all build test check obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale perfbench clean
 
 all: build
 
@@ -77,6 +77,15 @@ control:
 # and every safety checker must stay green in both runs.
 autoscale:
 	dune exec bench/main.exe -- autoscale
+
+# The repository's benchmark (perfbench/README.md): each workload once at
+# seed 1, end-to-end metrics. Exits non-zero if a run fails its
+# correctness or determinism gate; the host timings it prints are
+# measurements, not gates.
+perfbench:
+	for w in pp-read-knee write-chaos hotspot-control; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -248,7 +248,7 @@ let copy_value = function
 
 let snapshot t =
   Hashtbl.fold (fun k v acc -> (k, copy_value v) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let install t img =
   Hashtbl.reset t.table;
@@ -264,7 +264,7 @@ let extract t ~keep =
   Hashtbl.fold
     (fun k v acc -> if keep k then (k, copy_value v) :: acc else acc)
     t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge t img =
   List.iter (fun (k, v) -> Hashtbl.replace t.table k (copy_value v)) img

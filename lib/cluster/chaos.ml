@@ -351,9 +351,15 @@ let check ?(snapshots = false) deploy ~completed_writes =
   (* 3. Committed-stays-committed: every write the client saw answered is
      in the reference replica's committed log, whatever crashed since.
      Once the reference compacted, writes ordered below its base are no
-     longer scannable — their preservation is then vouched for by the
-     snapshot identity plus fingerprint agreement, so a miss only counts
-     as a violation while the full history is present. *)
+     longer scannable there; its exactly-once completion records stand in
+     for them (they ride every checkpoint and install). A record lives
+     [gc_ordered] past its apply-time stamp, so the records are complete
+     only while the clock is still inside that window — [Chaos.run]
+     widens it over the whole run. Past it (callers on the default
+     window) a compacted reference is vouched for by the snapshot
+     identity plus fingerprint agreement alone. A complete log never
+     consults the records: a record outlives a lost log entry, so it
+     must not excuse one. *)
   let committed_preserved = ref true in
   (match reference with
   | None -> if completed_writes <> [] then committed_preserved := false
@@ -362,16 +368,31 @@ let check ?(snapshots = false) deploy ~completed_writes =
       List.iter
         (fun (_, _, (m : Protocol.meta)) -> Rid_tbl.replace committed m.rid ())
         (committed_cmds ref_node);
-      let scannable = Hnode.log_base ref_node = 0 in
-      List.iter
-        (fun rid ->
-          if not (Rid_tbl.mem committed rid) then
-            if scannable then begin
-              committed_preserved := false;
-              bad "client-completed write %s missing from committed log"
-                (Format.asprintf "%a" R2p2.pp_req_id rid)
-            end)
-        completed_writes);
+      let missing =
+        List.filter (fun rid -> not (Rid_tbl.mem committed rid)) completed_writes
+      in
+      let flag where rid =
+        committed_preserved := false;
+        bad "client-completed write %s missing from %s"
+          (Format.asprintf "%a" R2p2.pp_req_id rid)
+          where
+      in
+      if Hnode.log_base ref_node = 0 then List.iter (flag "committed log") missing
+      else if
+        missing <> []
+        && Engine.now deploy.Deploy.engine
+           <= deploy.Deploy.params.Hnode.timing.Hnode.gc_ordered
+      then begin
+        let recorded = Rid_tbl.create 4096 in
+        List.iter
+          (fun (rid, _, _) -> Rid_tbl.replace recorded rid ())
+          (Hnode.completion_records ref_node);
+        List.iter
+          (fun rid ->
+            if not (Rid_tbl.mem recorded rid) then
+              flag "committed log and completion records" rid)
+          missing
+      end);
   (* 4. Catch-up: after the heal-and-restart epilogue every live replica
      must have applied everything any replica committed. *)
   let caught_up = ref true in

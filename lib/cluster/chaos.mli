@@ -134,9 +134,15 @@ val check :
     exact log-derived execution counts apply only to nodes whose full
     history is scannable (base 0, no installs); catch-up-via-install is
     verified through state fingerprints instead of raw log prefixes, and
-    committed-stays-committed only flags misses while the reference log
-    is complete. Without it, any compacted log raises [Invalid_argument]
-    immediately — the legacy scans would otherwise pass vacuously. *)
+    committed-stays-committed holds each write to the reference
+    replica's committed log. A complete (uncompacted) log must contain
+    every write. Once the reference compacted, a write missing from its
+    log must instead have a completion record there — but only while
+    the clock is still within the [gc_ordered] retention window, so no
+    record can have expired ({!run} widens it over the run); past that
+    window a compacted reference is not held to it. Without [snapshots],
+    any compacted log raises [Invalid_argument] immediately — the legacy
+    scans would otherwise pass vacuously. *)
 
 val run :
   ?params:Hnode.params ->

@@ -289,11 +289,10 @@ type t = {
          actions pump again) must not start a second loop. *)
   pending_recovery : (int * Timebase.t) Rid_tbl.t;  (* rid -> retries, issued-at *)
   lease_heard : (int, Timebase.t) Hashtbl.t;  (* leader: last contact per node *)
-  completions : (Op.result * Timebase.t) Rid_tbl.t;
+  completions : Completions.t;
       (* RIFL-style completion records, built deterministically during
          apply on every replica; replays answer retransmitted requests
          without re-execution. *)
-  completion_fifo : (R2p2.req_id * Timebase.t) Queue.t;
   mutable ack_override : Addr.t option;
   mutable probe_sent_term : int;
   mutable last_transfer : int option;
@@ -376,15 +375,8 @@ let has_consensus t = t.raft <> None || t.rabia <> None
 let with_bodies t = t.p.mode = Vanilla
 
 (* The live completion records in FIFO (insertion/expiry) order — the
-   form both checkpoints and shard-migration exports ship them in. *)
-let completion_records t =
-  List.rev
-    (Queue.fold
-       (fun acc (rid, _) ->
-         match Rid_tbl.find_opt t.completions rid with
-         | Some (result, at) -> (rid, result, at) :: acc
-         | None -> acc)
-       [] t.completion_fifo)
+   form shard-migration exports ship them in. *)
+let completion_records t = Completions.to_list t.completions
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages of the network hot path                             *)
@@ -668,7 +660,7 @@ and on_rabia_appended t lo hi =
           if idx > t.applied_ptr then
             if
               (not (Unordered.mark_ordered t.store meta.rid))
-              && not (Rid_tbl.mem t.completions meta.rid)
+              && not (Completions.mem t.completions meta.rid)
             then request_recovery t meta.rid
         end
       done
@@ -791,7 +783,7 @@ and pump_serial t =
     let entry = Rlog.get (consensus_log t) idx in
     let cmd = entry.Rtypes.cmd in
     match body_for t cmd with
-    | None when Rid_tbl.mem t.completions cmd.meta.rid ->
+    | None when Completions.mem t.completions cmd.meta.rid ->
         (* A re-ordered duplicate of an already-applied command (a
            leaderless backend can decide the same rid at two slots after
            a snapshot catch-up): the body may be gone everywhere, but the
@@ -826,7 +818,7 @@ and pump_parallel t =
       let entry = Rlog.get (consensus_log t) idx in
       let cmd = entry.Rtypes.cmd in
       match body_for t cmd with
-      | None when Rid_tbl.mem t.completions cmd.meta.rid ->
+      | None when Completions.mem t.completions cmd.meta.rid ->
           (* Bodyless duplicate: replay from the completion record (see
              the serial pump). *)
           dispatch_one t idx cmd Op.Nop
@@ -1005,13 +997,7 @@ and on_snapshot_installed t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
 and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
     (s : Protocol.snap) =
   Op.install t.app_state s.Protocol.s_app;
-  Rid_tbl.reset t.completions;
-  Queue.clear t.completion_fifo;
-  List.iter
-    (fun (rid, result, at) ->
-      Rid_tbl.replace t.completions rid (result, at);
-      Queue.push (rid, at) t.completion_fifo)
-    s.Protocol.s_completions;
+  Completions.install t.completions s.Protocol.s_completions;
   Rid_tbl.reset t.pending_recovery;
   t.members <- meta.Hovercraft_raft.Snapshot.members;
   t.applied_ptr <- max t.applied_ptr meta.Hovercraft_raft.Snapshot.last_idx;
@@ -1037,7 +1023,7 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
   (match t.rabia with
   | Some rb ->
       Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
-          not (Rid_tbl.mem t.completions c.Protocol.meta.rid))
+          not (Completions.mem t.completions c.Protocol.meta.rid))
   | None -> ());
   (* Same retirement rule as an applied config entry: the image's
      membership is durable state, but only the consensus layer's current
@@ -1053,16 +1039,17 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
   else if is_leader t then Replier.set_nodes t.replier t.members
 
 (* Cut a checkpoint of the applied state machine: the deep-copied image,
-   the live completion records (in FIFO order, so expiry keeps working
-   after an install) and the applied-prefix membership, identified by
-   (idx, term-at-idx). Runs inside apply_one's pre-delay atomic section,
-   so the image is exactly the state after entry [idx]. *)
+   the live completion records (the persistent FIFO as it stands — O(1),
+   and later records or expiries on this node never show through; FIFO
+   order keeps expiry working after an install) and the applied-prefix
+   membership, identified by (idx, term-at-idx). Runs inside apply_one's
+   pre-delay atomic section, so the image is exactly the state after
+   entry [idx]. *)
 and take_snapshot t idx =
-  let completions = completion_records t in
   let data =
     {
       Protocol.s_app = Op.snapshot t.app_state;
-      s_completions = completions;
+      s_completions = Completions.cut t.completions;
       s_preloaded = t.preloaded;
     }
   in
@@ -1093,7 +1080,10 @@ and take_snapshot t idx =
 and apply_atomic t idx (cmd : Protocol.cmd) op =
   let meta = cmd.Protocol.meta in
   let is_replier = meta.replier = t.id in
-  let duplicate = (not meta.internal) && Rid_tbl.mem t.completions meta.rid in
+  let recorded =
+    if meta.internal then None else Completions.find t.completions meta.rid
+  in
+  let duplicate = Option.is_some recorded in
   let execute =
     (not meta.internal) && (not duplicate)
     &&
@@ -1103,9 +1093,9 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
     | Unreplicated -> true
   in
   let result, exec_cost =
-    if execute then Op.apply t.app_state op
-    else if duplicate then (fst (Rid_tbl.find t.completions meta.rid), 0)
-    else (Op.Done, 0)
+    match recorded with
+    | Some result -> (result, 0)
+    | None -> if execute then Op.apply t.app_state op else (Op.Done, 0)
   in
   let should_reply =
     (not meta.internal)
@@ -1149,19 +1139,11 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   | Op.Merge { completions; _ } ->
       List.iter
         (fun { Op.c_rid; c_result; c_at } ->
-          if not (Rid_tbl.mem t.completions c_rid) then begin
-            Rid_tbl.replace t.completions c_rid (c_result, c_at);
-            Queue.push (c_rid, c_at) t.completion_fifo
-          end)
+          Completions.record t.completions (c_rid, c_result, c_at))
         completions
   | _ -> ());
-  if not meta.internal then begin
-    let now = Engine.now t.engine in
-    if not (Rid_tbl.mem t.completions meta.rid) then begin
-      Rid_tbl.replace t.completions meta.rid (result, now);
-      Queue.push (meta.rid, now) t.completion_fifo
-    end
-  end;
+  if not meta.internal then
+    Completions.record t.completions (meta.rid, result, Engine.now t.engine);
   (match cmd.Protocol.config with
   | Some ms -> on_config_applied t ms
   | None -> ());
@@ -1435,8 +1417,8 @@ let execute_locally ?feedback t rid op =
    completion record (exactly-once); one that is in flight (ordered but not
    applied) is ignored — its reply is coming. *)
 let replay_completion t rid op =
-  match Rid_tbl.find_opt t.completions rid with
-  | Some (result, _) ->
+  match Completions.find t.completions rid with
+  | Some result ->
       let reply_bytes = R2p2.header_bytes + Op.reply_bytes op result in
       (* Replays are pure tx (no execution): under a pipelined net they
          belong to the replier stage; on the monolithic path they ride an
@@ -1749,15 +1731,8 @@ let start_gc_loop t =
                       (Format.asprintf "%a" R2p2.pp_req_id rid))
           in
           ignore (Unordered.gc ?keep t.store);
-          let now = Engine.now t.engine in
-          let expired (_, recorded) = now - recorded > t.p.timing.gc_ordered in
-          while
-            (not (Queue.is_empty t.completion_fifo))
-            && expired (Queue.peek t.completion_fifo)
-          do
-            let rid, _ = Queue.pop t.completion_fifo in
-            Rid_tbl.remove t.completions rid
-          done;
+          Completions.expire t.completions ~now:(Engine.now t.engine)
+            ~window:t.p.timing.gc_ordered;
           (match (t.raft, t.rabia) with
           | Some raft, _ ->
               let base = Rnode.compact raft ~retain:t.p.features.log_retain in
@@ -1936,8 +1911,7 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       pumping = false;
       pending_recovery = Rid_tbl.create 64;
       lease_heard = Hashtbl.create 16;
-      completions = Rid_tbl.create 1024;
-      completion_fifo = Queue.create ();
+      completions = Completions.create ();
       ack_override = None;
       probe_sent_term = -1;
       last_transfer = None;

@@ -54,7 +54,7 @@ let config_cmd ~members =
 
 type snap = {
   s_app : Op.image;
-  s_completions : (R2p2.req_id * Op.result * Hovercraft_sim.Timebase.t) list;
+  s_completions : Completions.record Hovercraft_sim.Fifo.t;
   s_preloaded : int;
 }
 
@@ -66,7 +66,7 @@ let completion_wire_bytes = 40
 
 let snap_bytes s =
   Op.image_bytes s.s_app
-  + (completion_wire_bytes * List.length s.s_completions)
+  + (completion_wire_bytes * Hovercraft_sim.Fifo.length s.s_completions)
   + 8 (* preload counter *)
 
 type payload =

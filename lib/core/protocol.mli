@@ -36,11 +36,12 @@ val config_cmd : members:Hovercraft_raft.Types.node_id array -> cmd
 type snap = {
   s_app : Hovercraft_apps.Op.image;
       (** Deep-copied application state at the checkpoint index. *)
-  s_completions :
-    (R2p2.req_id * Hovercraft_apps.Op.result * Hovercraft_sim.Timebase.t) list;
-      (** Exactly-once completion records covering the checkpoint:
-          without them, a retransmission of an already-applied request
-          would re-execute on a freshly installed replica. *)
+  s_completions : Completions.record Hovercraft_sim.Fifo.t;
+      (** Exactly-once completion records covering the checkpoint, oldest
+          first: without them, a retransmission of an already-applied
+          request would re-execute on a freshly installed replica. The
+          queue is persistent, so the cut shares the live node's queue
+          and later records or expiries on that node never reach it. *)
   s_preloaded : int;
       (** How many of the image's executed operations were preloaded
           outside consensus (dataset population). Part of the durable

@@ -2,15 +2,20 @@
 
     Every node receives multicast request bodies before the leader orders
     them. A body starts {e unordered}; once the node sees its metadata
-    appear in the Raft log it is {e ordered} (it now only serves as the
-    body to apply, and as recovery material for other nodes); after the
-    node applies the entry, the body is removed.
+    appear in the Raft log it is {e ordered} (it now serves as the body
+    to apply, and as recovery material for other nodes). Applying the
+    entry does not remove it: the body stays until the ordered retention
+    window expires it, so it can still answer recovery requests.
 
     Garbage collection follows the paper: unordered bodies that linger past
     a timeout are dropped (the request was probably never ordered — or, if
     it was, the recovery path refetches it); ordered bodies are retained
     for a longer retention window so they can serve recovery requests from
-    lagging followers even after local application. *)
+    lagging followers even after local application.
+
+    Expiry costs O(expired + pinned): every stamp (add, refresh,
+    [mark_ordered]) moves the body to the tail of its class's
+    stamp-ordered list, and {!gc} pops expired heads. *)
 
 open Hovercraft_sim
 open Hovercraft_r2p2
@@ -41,7 +46,7 @@ val mark_ordered : t -> R2p2.req_id -> bool
     body is absent (the multicast was lost — recovery needed). *)
 
 val remove : t -> R2p2.req_id -> unit
-(** Drop after application (or on explicit invalidation). *)
+(** Drop a body before its window expires (explicit invalidation). *)
 
 val unordered_bindings : t -> (R2p2.req_id * Hovercraft_apps.Op.t) list
 (** Bodies not yet ordered, oldest first — what a freshly elected leader

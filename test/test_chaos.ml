@@ -133,6 +133,120 @@ let test_random_schedule_keeps_quorum () =
       check_int "id-kills all restarted" 0 (Hashtbl.length dead))
     [ 1; 2; 3; 4; 5 ]
 
+(* Committed-stays-committed on a compacted log: the reference replica's
+   completion records stand in for the compacted prefix while the clock
+   is inside the retention window, so a client-acknowledged write that no
+   replica holds is caught; on the default (short) window, where records
+   have legitimately expired, the real history raises no false flag. *)
+let test_check_falls_back_to_completion_records () =
+  let run ~gc_ordered =
+    let params =
+      let p = Hnode.params ~mode:Hnode.Hover_pp ~n:3 () in
+      {
+        p with
+        Hnode.seed = 9;
+        timing = { p.Hnode.timing with Hnode.gc_ordered };
+        features =
+          { p.Hnode.features with Hnode.snapshot_interval = 200; log_retain = 200 };
+      }
+    in
+    let deploy = Deploy.create (Deploy.config params) in
+    let writes = ref [] in
+    let gen =
+      Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload
+        ~on_reply:(fun ~rid ~op ~sent_at:_ ~latency:_ ->
+          if not (Hovercraft_apps.Op.read_only op) then writes := rid :: !writes)
+        ~seed:9 ()
+    in
+    ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 200) ());
+    Deploy.quiesce deploy ();
+    check "log compacted" true
+      (List.for_all (fun n -> Hnode.log_base n > 0) (Deploy.live_nodes deploy));
+    let verdict completed_writes =
+      let violations, _, preserved, _, _ =
+        Chaos.check ~snapshots:true deploy ~completed_writes
+      in
+      (violations, preserved)
+    in
+    let forged =
+      match !writes with
+      | w :: _ -> { w with Hovercraft_r2p2.R2p2.id = w.id + 1_000_000_000 }
+      | [] -> Alcotest.fail "no write completed"
+    in
+    (verdict !writes, verdict (forged :: !writes))
+  in
+  let (v, ok), (_, forged_ok) = run ~gc_ordered:(Timebase.s 2) in
+  Alcotest.(check (list string)) "wide window: real history passes" [] v;
+  check "wide window: real history preserved" true ok;
+  check "wide window: forged write caught below the log base" false forged_ok;
+  let (v, ok), _ = run ~gc_ordered:(Hnode.params ()).Hnode.timing.Hnode.gc_ordered in
+  Alcotest.(check (list string)) "default window: no false flags" [] v;
+  check "default window: real history preserved" true ok
+
+(* On a complete (uncompacted) reference log, completion records never
+   excuse a missing write: a record outlives a lost log entry. A Merge
+   seeds the reference with a record whose rid no log entry carries; a
+   client-acknowledged write with that rid must still be flagged. *)
+let test_check_full_log_ignores_completion_records () =
+  let params =
+    let p = Hnode.params ~mode:Hnode.Hover_pp ~n:3 () in
+    {
+      p with
+      Hnode.seed = 9;
+      timing = { p.Hnode.timing with Hnode.gc_ordered = Timebase.s 2 };
+      features = { p.Hnode.features with Hnode.log_retain = max_int / 2 };
+    }
+  in
+  let deploy = Deploy.create (Deploy.config params) in
+  let module Op = Hovercraft_apps.Op in
+  let forged =
+    {
+      Hovercraft_r2p2.R2p2.id = 1_000_000_000;
+      src_addr = Deploy.client_target deploy;
+      src_port = 0;
+    }
+  in
+  let merged = ref false in
+  let seeding_workload rng =
+    if !merged then workload rng
+    else begin
+      merged := true;
+      Op.Merge
+        {
+          chunk = Hovercraft_apps.Kvstore.(snapshot (create ()));
+          completions = [ { Op.c_rid = forged; c_result = Op.Done; c_at = 0 } ];
+        }
+    end
+  in
+  let writes = ref [] in
+  let gen =
+    Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload:seeding_workload
+      ~on_reply:(fun ~rid ~op ~sent_at:_ ~latency:_ ->
+        if not (Op.read_only op) then writes := rid :: !writes)
+      ~seed:9 ()
+  in
+  ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 50) ());
+  Deploy.quiesce deploy ();
+  let live = Deploy.live_nodes deploy in
+  check "log complete" true (List.for_all (fun n -> Hnode.log_base n = 0) live);
+  check "forged rid recorded on every replica" true
+    (List.for_all
+       (fun n ->
+         List.exists
+           (fun (rid, _, _) -> Hovercraft_r2p2.R2p2.req_id_equal rid forged)
+           (Hnode.completion_records n))
+       live);
+  let violations, _, preserved, _, _ =
+    Chaos.check deploy ~completed_writes:!writes
+  in
+  Alcotest.(check (list string)) "real history passes" [] violations;
+  check "real history preserved" true preserved;
+  let violations, _, preserved, _, _ =
+    Chaos.check deploy ~completed_writes:(forged :: !writes)
+  in
+  check "record-only write flagged" false preserved;
+  check_int "exactly one violation" 1 (List.length violations)
+
 let suite =
   [
     Alcotest.test_case "restart catches up" `Slow test_restart_catches_up;
@@ -142,6 +256,10 @@ let suite =
       test_kill_restart_kill_new_leader;
     Alcotest.test_case "partition then heal" `Slow test_partition_then_heal;
     Alcotest.test_case "chaos determinism" `Slow test_chaos_deterministic;
+    Alcotest.test_case "check falls back to completion records" `Quick
+      test_check_falls_back_to_completion_records;
+    Alcotest.test_case "check ignores completion records on a full log" `Quick
+      test_check_full_log_ignores_completion_records;
     Alcotest.test_case "random schedule keeps quorum" `Quick
       test_random_schedule_keeps_quorum;
   ]

@@ -74,6 +74,94 @@ let test_unordered_readd_keeps_ordered () =
   Unordered.add s (rid ()) Op.Nop;
   check_int "duplicate multicast keeps ordered state" 0 (Unordered.unordered_count s)
 
+(* Model-based check of the stamp-ordered expiry: seeded random
+   add / re-add / mark_ordered / remove / clock / gc ?keep sequences
+   against a full-sweep oracle that keeps the old whole-table scan. *)
+module Sweep_oracle = struct
+  type slot = { op : Op.t; mutable added : int; mutable ordered : bool; seq : int }
+  type t = { tbl : (int, slot) Hashtbl.t; mutable seq : int; gu : int; go : int }
+
+  let add o now id op =
+    match Hashtbl.find_opt o.tbl id with
+    | Some s -> s.added <- now
+    | None ->
+        o.seq <- o.seq + 1;
+        Hashtbl.replace o.tbl id { op; added = now; ordered = false; seq = o.seq }
+
+  let mark o now id =
+    match Hashtbl.find_opt o.tbl id with
+    | None -> false
+    | Some s -> s.ordered <- true; s.added <- now; true
+
+  let gc o now keep =
+    let expired id s =
+      now - s.added > (if s.ordered then o.go else o.gu) && (s.ordered || not (keep id))
+    in
+    let dead = Hashtbl.fold (fun id s acc -> if expired id s then id :: acc else acc) o.tbl [] in
+    List.iter (Hashtbl.remove o.tbl) dead;
+    List.length dead
+
+  let unordered o =
+    Hashtbl.fold (fun id s acc -> if s.ordered then acc else (s.seq, id) :: acc) o.tbl []
+    |> List.sort compare |> List.map snd
+end
+
+let test_unordered_matches_sweep_oracle () =
+  let gu = 100 and go = 250 in
+  for seed = 1 to 40 do
+    let st = Random.State.make [| seed |] in
+    let clock = ref 0 in
+    let s = make_store ~gc_unordered:gu ~gc_ordered:go clock in
+    let o = { Sweep_oracle.tbl = Hashtbl.create 64; seq = 0; gu; go } in
+    let pinned = Hashtbl.create 8 in
+    let keep_id id = Hashtbl.mem pinned id in
+    for step = 1 to 600 do
+      let expect what ok =
+        if not ok then Alcotest.failf "seed %d step %d: %s differs" seed step what
+      in
+      let id = Random.State.int st 24 in
+      let r = rid ~id () in
+      (match Random.State.int st 100 with
+      | n when n < 30 ->
+          let op = Op.Kv (K.Get (string_of_int step)) in
+          Unordered.add s r op;
+          Sweep_oracle.add o !clock id op
+      | n when n < 50 ->
+          expect "mark_ordered" (Sweep_oracle.mark o !clock id = Unordered.mark_ordered s r)
+      | n when n < 58 ->
+          Unordered.remove s r;
+          Hashtbl.remove o.tbl id
+      | n when n < 63 -> Hashtbl.replace pinned id ()
+      | n when n < 68 -> Hashtbl.remove pinned id
+      | n when n < 85 ->
+          (* Several operations often share one timestamp. *)
+          if Random.State.bool st then clock := !clock + Random.State.int st 80
+      | _ ->
+          let with_keep = Random.State.int st 3 > 0 in
+          let keep = if with_keep then keep_id else fun _ -> false in
+          let got =
+            if with_keep then Unordered.gc ~keep:(fun r -> keep_id r.R2p2.id) s
+            else Unordered.gc s
+          in
+          expect "gc count" (Sweep_oracle.gc o !clock keep = got));
+      expect "size" (Hashtbl.length o.tbl = Unordered.size s);
+      let unordered = Sweep_oracle.unordered o in
+      expect "unordered_count" (List.length unordered = Unordered.unordered_count s);
+      expect "unordered_bindings"
+        (unordered = List.map (fun (r, _) -> r.R2p2.id) (Unordered.unordered_bindings s));
+      for id = 0 to 23 do
+        let r = rid ~id () in
+        let want = Hashtbl.find_opt o.tbl id in
+        expect "find" (Option.map (fun (x : Sweep_oracle.slot) -> x.op) want = Unordered.find s r);
+        expect "status"
+          (Unordered.status s r
+          = match want with
+            | None -> `Absent
+            | Some x -> if x.ordered then `Ordered else `Unordered)
+      done
+    done
+  done
+
 (* --- replier ----------------------------------------------------------- *)
 
 let test_replier_bound_and_applied () =
@@ -457,6 +545,8 @@ let suite =
     Alcotest.test_case "unordered ingest order" `Quick test_unordered_ingest_order;
     Alcotest.test_case "unordered re-add keeps ordered" `Quick
       test_unordered_readd_keeps_ordered;
+    Alcotest.test_case "unordered matches full-sweep oracle" `Quick
+      test_unordered_matches_sweep_oracle;
     Alcotest.test_case "replier bound and applied" `Quick
       test_replier_bound_and_applied;
     Alcotest.test_case "replier caps dead node" `Quick test_replier_dead_node_bounded;

@@ -436,6 +436,66 @@ let test_legacy_checker_rejects_compacted_logs () =
   Alcotest.(check (list string)) "snapshot-aware checker passes" [] violations;
   check "replicas consistent" true consistent
 
+(* A checkpoint cut shares the live completion FIFO: the cut must not
+   move when the live set later records or expires, an install must
+   restore the records in FIFO order, expiry after the install must
+   retire them oldest first, and the image's size estimate depends on
+   the record count only. *)
+let test_completion_cut_is_isolated () =
+  let module Op = Hovercraft_apps.Op in
+  let rec_ id at =
+    ( { Hovercraft_r2p2.R2p2.id; src_addr = Hovercraft_net.Addr.Client 0; src_port = 1 },
+      Op.Done,
+      at )
+  in
+  let ids q = List.map (fun ((r : Hovercraft_r2p2.R2p2.req_id), _, _) -> r.id) q in
+  let app = Op.snapshot (Op.create_state ()) in
+  let bytes c =
+    Protocol.snap_bytes { Protocol.s_app = app; s_completions = c; s_preloaded = 0 }
+  in
+  let live = Completions.create () in
+  List.iter (fun i -> Completions.record live (rec_ i (i * 10))) [ 1; 2; 3; 4 ];
+  (* Drain [rear] into [front] once, so the cut below holds both halves. *)
+  Completions.expire live ~now:0 ~window:100;
+  Completions.record live (rec_ 5 50);
+  let cut = Completions.cut live in
+  let cut_bytes = bytes cut in
+  let before = ids (Fifo.to_list cut) in
+  Alcotest.(check (list int)) "cut in FIFO order" [ 1; 2; 3; 4; 5 ] before;
+  Completions.record live (rec_ 6 60);
+  Completions.record live (rec_ 1 70);
+  Completions.expire live ~now:135 ~window:100;
+  Alcotest.(check (list int)) "live expired oldest first, kept first record"
+    [ 4; 5; 6 ] (ids (Completions.to_list live));
+  Alcotest.(check (list int)) "cut unchanged by later records and expiry"
+    before (ids (Fifo.to_list cut));
+  check_int "cut length unchanged" 5 (Fifo.length cut);
+  check_int "snap_bytes unchanged" cut_bytes (bytes cut);
+  check_int "snap_bytes depends on the count only" cut_bytes
+    (bytes
+       (List.fold_left
+          (fun q i -> Fifo.push (rec_ (90 + i) 0) q)
+          Fifo.empty [ 0; 1; 2; 3; 4 ]));
+  let fresh = Completions.create () in
+  Completions.record fresh (rec_ 9 0);
+  Completions.install fresh cut;
+  Alcotest.(check (list int)) "install restores FIFO order" before
+    (ids (Completions.to_list fresh));
+  check "install replaces earlier records" false
+    (Completions.mem fresh (let r, _, _ = rec_ 9 0 in r));
+  check "installed records answer lookups" true
+    (Completions.find fresh (let r, _, _ = rec_ 3 0 in r) = Some Op.Done);
+  Completions.record fresh (rec_ 7 80);
+  Completions.expire fresh ~now:125 ~window:100;
+  Alcotest.(check (list int)) "expiry after install retires in order"
+    [ 3; 4; 5; 7 ] (ids (Completions.to_list fresh));
+  Completions.expire fresh ~now:175 ~window:100;
+  Alcotest.(check (list int)) "and stops at the first younger record" [ 7 ]
+    (ids (Completions.to_list fresh));
+  check_int "length tracks expiry" 1 (Fifo.length (Completions.cut fresh));
+  Alcotest.(check (list int)) "the cut still holds its records" before
+    (ids (Fifo.to_list cut))
+
 let suite =
   [
     Alcotest.test_case "compaction past crashed follower" `Quick
@@ -456,6 +516,8 @@ let suite =
       test_chaos_with_aggressive_interval;
     Alcotest.test_case "preload counter rides snapshots" `Slow
       test_preloaded_rides_snapshots;
+    Alcotest.test_case "completion cut is isolated from the live set" `Quick
+      test_completion_cut_is_isolated;
     Alcotest.test_case "legacy checker rejects compacted logs" `Quick
       test_legacy_checker_rejects_compacted_logs;
   ]
